@@ -5,6 +5,7 @@
 //! profiling is the degenerate reach point `(+0 ms, +0 °C)`.
 
 use reaper_dram_model::{Celsius, DataPattern, Ms};
+use reaper_exec::cancel::CancelToken;
 use reaper_exec::num;
 use reaper_retention::{SimulatedChip, MAX_BATCH_ROUNDS};
 use reaper_softmc::TestHarness;
@@ -126,12 +127,10 @@ pub struct CoverageTracker<'a> {
 }
 
 impl<'a> CoverageTracker<'a> {
-    /// Tracks coverage of `truth`.
-    ///
-    /// # Panics
-    /// Panics if `truth` is empty (coverage of nothing is meaningless).
+    /// Tracks coverage of `truth`. An empty truth is vacuously covered:
+    /// coverage 1.0 and a goal count of 0, as in
+    /// [`crate::ProfileMetrics::evaluate`].
     pub fn new(truth: &'a FailureProfile) -> Self {
-        assert!(!truth.is_empty(), "ground truth must be nonempty");
         Self {
             truth,
             covered: 0,
@@ -168,8 +167,11 @@ impl<'a> CoverageTracker<'a> {
         self.covered
     }
 
-    /// Fraction of the truth set found so far.
+    /// Fraction of the truth set found so far (1.0 for an empty truth).
     pub fn coverage(&self) -> f64 {
+        if self.truth.is_empty() {
+            return 1.0;
+        }
         self.covered as f64 / self.truth.len() as f64
     }
 
@@ -331,7 +333,8 @@ impl Profiler {
             }
         }
         let mut profile = FailureProfile::new();
-        for outcome in chip.retention_trial_schedule(&schedule, MAX_BATCH_ROUNDS) {
+        let run = chip.retention_trial_schedule(&schedule, MAX_BATCH_ROUNDS, &CancelToken::new());
+        for outcome in run.outcomes {
             for &cell in outcome.failures() {
                 profile.insert(cell);
             }
@@ -345,9 +348,11 @@ impl Profiler {
     /// (the Fig. 10 "iterations required to achieve over 90 % coverage"
     /// analysis, without whole-iteration quantization).
     ///
+    /// An empty `ground_truth` is vacuously covered, so the run stops after
+    /// its first pattern pass.
+    ///
     /// # Panics
-    /// Panics if `ground_truth` is empty, `coverage_goal` is outside (0, 1],
-    /// or `max_iterations == 0`.
+    /// Panics if `coverage_goal` is outside (0, 1] or `max_iterations == 0`.
     pub fn run_to_coverage(
         &self,
         harness: &mut TestHarness,
@@ -619,11 +624,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "nonempty")]
-    fn run_to_coverage_rejects_empty_gt() {
+    fn empty_ground_truth_is_vacuously_covered() {
+        let empty = FailureProfile::new();
+        let tracker = CoverageTracker::new(&empty);
+        assert_eq!(tracker.goal_count(0.9), 0);
+        assert_eq!(tracker.coverage(), 1.0);
+
         let mut h = harness(64, 26);
         let target = TargetConditions::paper_example();
         let p = Profiler::brute_force(target, 1, PatternSet::Standard);
-        p.run_to_coverage(&mut h, &FailureProfile::new(), 0.9, 1);
+        let run = p.run_to_coverage(&mut h, &empty, 0.9, 1);
+        assert!(run.met);
+        assert_eq!(run.patterns_executed, 1);
     }
 }

@@ -19,7 +19,7 @@
 //! boundaries (before spending kernel time) and during the accounting
 //! walk — and self-cancel once their own incurred cost strictly exceeds
 //! the board's best. Cancellation reaches a running kernel only at batch
-//! boundaries (see `retention_trial_schedule_cancellable`), so nothing
+//! boundaries (see `retention_trial_schedule`), so nothing
 //! ever diverges mid-batch.
 //!
 //! # Why racing stays deterministic
@@ -460,7 +460,7 @@ impl Portfolio {
                     schedule.push((p, interval, dram_temp));
                 }
             }
-            let run = chip.retention_trial_schedule_cancellable(&schedule, MAX_BATCH_ROUNDS, &token);
+            let run = chip.retention_trial_schedule(&schedule, MAX_BATCH_ROUNDS, &token);
 
             // Pass-granular accounting walk over whatever completed.
             for outcome in &run.outcomes {

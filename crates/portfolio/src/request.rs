@@ -281,6 +281,18 @@ mod tests {
     }
 
     #[test]
+    fn empty_ground_truth_race_is_vacuously_covered() {
+        // Vendor A, seed 21: no cell reaches the truth floor at the
+        // example's target conditions.
+        let mut req = PortfolioRequest::example(21);
+        req.vendor = Vendor::A;
+        let (race, outcome) = req.execute().expect("valid request");
+        assert_eq!(outcome.truth_cells, 0);
+        assert_eq!(race.coverage, 1.0);
+        assert_eq!(outcome.metrics.coverage, 1.0);
+    }
+
+    #[test]
     fn execute_rejects_invalid_without_panicking() {
         let mut r = PortfolioRequest::example(1);
         r.rounds = 0;

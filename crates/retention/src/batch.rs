@@ -27,7 +27,7 @@
 //!
 //! # Determinism contract
 //!
-//! Bit-identical to the scalar engine at any thread count and any batch
+//! Bit-identical to the scalar window scan at any thread count and any batch
 //! size: every (cell, round) pair opens the same hash lane and makes the
 //! same draws in the same order (VRT observation first, failure draw only
 //! in band). VRT chains are replayed sequentially per cell across the

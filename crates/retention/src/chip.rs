@@ -15,7 +15,7 @@ use reaper_dram_model::{Celsius, ChipGeometry, DataPattern, Ms};
 use crate::batch::MAX_BATCH_ROUNDS;
 use crate::cell::WeakCell;
 use crate::config::RetentionConfig;
-use crate::plan::{PatternLowering, PlanCache, PlanKey, PlanStats, TrialCtx, TrialEngine, TrialPlan};
+use crate::plan::{PatternLowering, PlanCache, PlanKey, PlanStats, TrialCtx, TrialPlan};
 use crate::vrt::{ArrivalCell, TwoStateVrt};
 
 /// Hard clamp on per-cell σ (seconds) so candidate windowing stays tight.
@@ -157,8 +157,9 @@ impl<'a> IntoIterator for &'a TrialOutcome {
 ///
 /// When `cancelled` is false the outcomes are the complete run. When true
 /// they are a bit-identical prefix of what the uncancelled run would have
-/// produced — see the `_cancellable` entry points on [`SimulatedChip`]
-/// for the exact prefix guarantee each one makes.
+/// produced — see [`SimulatedChip::retention_trial_batches`] and
+/// [`SimulatedChip::retention_trial_schedule`] for the exact prefix
+/// guarantee each one makes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PartialTrials {
     /// Completed trial outcomes, in the entry point's usual order.
@@ -205,8 +206,6 @@ pub struct SimulatedChip {
     plan_epoch: u64,
     /// Pattern lowerings and compiled trial plans (see [`crate::plan`]).
     plan_cache: PlanCache,
-    /// Which engine `retention_trial` routes through.
-    engine: TrialEngine,
 }
 
 /// How one trial is served, resolved by `route_trial` before the scan.
@@ -287,7 +286,6 @@ impl SimulatedChip {
             trial_nonce: 0,
             plan_epoch: 0,
             plan_cache: PlanCache::default(),
-            engine: TrialEngine::default(),
             cfg,
         };
         chip.rebuild_sort();
@@ -383,6 +381,12 @@ impl SimulatedChip {
     /// (`reaper-softmc`) owns time accounting. VRT arrivals are drawn for
     /// the wall-clock span since the last trial.
     ///
+    /// Each trial is routed by recurrence (see DESIGN.md §"Compiled trial
+    /// plans"): the scalar window scan on first sighting, a pattern
+    /// lowering once the pattern recurs, and a compiled plan once the
+    /// exact condition recurs. Every route is draw-for-draw identical to
+    /// [`SimulatedChip::retention_trial_reference`].
+    ///
     /// # Panics
     /// Panics if `interval` is not positive.
     pub fn retention_trial(
@@ -391,51 +395,49 @@ impl SimulatedChip {
         interval: Ms,
         temp: Celsius,
     ) -> TrialOutcome {
+        self.trial(pattern, interval, temp, false)
+    }
+
+    /// [`SimulatedChip::retention_trial`] served by the scalar window scan
+    /// alone: the reference oracle the routed tiers and the batch kernel
+    /// are verified against. Consumes the same nonce and draws the same
+    /// VRT arrivals, so it can stand in for any `retention_trial` call.
+    ///
+    /// # Panics
+    /// Panics if `interval` is not positive.
+    pub fn retention_trial_reference(
+        &mut self,
+        pattern: DataPattern,
+        interval: Ms,
+        temp: Celsius,
+    ) -> TrialOutcome {
+        self.trial(pattern, interval, temp, true)
+    }
+
+    fn trial(
+        &mut self,
+        pattern: DataPattern,
+        interval: Ms,
+        temp: Celsius,
+        reference: bool,
+    ) -> TrialOutcome {
         assert!(interval.is_positive(), "retention interval must be positive");
-        let t = interval.as_secs();
-        self.process_arrivals(t, temp);
-
-        let ms_scale = self.cfg.mu_temp_scale(temp);
-        let ss_scale = self.cfg.sigma_temp_scale(temp);
-        let end = candidate_window_end(&self.sort_keys, t, ms_scale, ss_scale);
-
-        let nonce = self.trial_nonce;
+        self.process_arrivals(interval.as_secs(), temp);
+        let ctx = self.trial_ctx(interval, temp, self.trial_nonce);
         self.trial_nonce += 1;
+        let end = candidate_window_end(&self.sort_keys, ctx.t_secs, ctx.ms_scale, ctx.ss_scale);
 
-        // Route through the configured engine. Every engine is
-        // draw-for-draw identical (see crate::plan); only the amount of
-        // per-trial recomputation differs.
-        let route = self.route_trial(pattern, interval, temp);
-        let ctx = TrialCtx {
-            t_secs: t,
-            ms_scale,
-            ss_scale,
-            stream_base: self.stream_base,
-            nonce,
-            now_ms: self.now_ms,
-            low_mu_factor: self.cfg.vrt_low_mu_factor,
+        let route = if reference {
+            self.plan_cache.stats.scalar_trials += 1;
+            TrialRoute::Scalar
+        } else {
+            self.route_trial(pattern, interval, temp)
         };
         let (mut failures, vrt_updates) = match route {
-            TrialRoute::Compiled(i) => {
-                if self.engine == TrialEngine::Batch {
-                    // The batch engine serves single trials as batches of
-                    // one through the bit-plane kernel.
-                    self.plan_cache.stats.batch_rounds += 1;
-                    let mut batch = self
-                        .plan_cache
-                        .plan_at_mut(i)
-                        .run_rounds(&self.base_vrt, &ctx, &[nonce]);
-                    let failures = batch
-                        .rounds
-                        .pop()
-                        .expect("invariant: one nonce in yields one round out");
-                    (failures, batch.vrt_updates)
-                } else {
-                    self.plan_cache
-                        .plan_at_mut(i)
-                        .run_round(&self.base_vrt, &ctx)
-                }
-            }
+            TrialRoute::Compiled(i) => self
+                .plan_cache
+                .plan_at_mut(i)
+                .run_round(&self.base_vrt, &ctx),
             TrialRoute::Lowered(i) => {
                 self.plan_cache
                     .lowering_at(i)
@@ -448,9 +450,23 @@ impl SimulatedChip {
             self.base_vrt[num::idx(i)] = state;
         }
 
-        self.arrival_round(t, ms_scale, ss_scale, &mut failures);
+        self.arrival_round(&ctx, &mut failures);
 
         TrialOutcome::from_unsorted(failures)
+    }
+
+    /// The scalar context of one trial at `(interval, temp)`; batched runs
+    /// pass nonce 0 and key each round by its own nonce instead.
+    fn trial_ctx(&self, interval: Ms, temp: Celsius, nonce: u64) -> TrialCtx {
+        TrialCtx {
+            t_secs: interval.as_secs(),
+            ms_scale: self.cfg.mu_temp_scale(temp),
+            ss_scale: self.cfg.sigma_temp_scale(temp),
+            stream_base: self.stream_base,
+            nonce,
+            now_ms: self.now_ms,
+            low_mu_factor: self.cfg.vrt_low_mu_factor,
+        }
     }
 
     /// One round over the VRT-arrival cells: freshly arrived cells fail
@@ -458,7 +474,7 @@ impl SimulatedChip {
     /// low state. The list is small and its draws live on the sequential
     /// RNG, so the batched entry points call this once per round *in nonce
     /// order* — the exact draw sequence a round-major trial loop makes.
-    fn arrival_round(&mut self, t_secs: f64, ms_scale: f64, ss_scale: f64, failures: &mut Vec<u64>) {
+    fn arrival_round(&mut self, ctx: &TrialCtx, failures: &mut Vec<u64>) {
         let now_ms = self.now_ms;
         let rng = &mut self.rng;
         for a in &mut self.arrivals {
@@ -472,9 +488,9 @@ impl SimulatedChip {
                 continue;
             }
             if a.vrt.observe(now_ms, rng) {
-                let mu = a.cell.effective_mu(ms_scale, 1.0, 1.0);
-                let sigma = a.cell.sigma0 as f64 * ss_scale;
-                let z = (t_secs - mu) / sigma;
+                let mu = a.cell.effective_mu(ctx.ms_scale, 1.0, 1.0);
+                let sigma = a.cell.sigma0 as f64 * ctx.ss_scale;
+                let z = (ctx.t_secs - mu) / sigma;
                 if z > Z_CUTOFF
                     || (z > -Z_CUTOFF && rng.random::<f64>() < reaper_analysis::special::phi(z))
                 {
@@ -485,8 +501,9 @@ impl SimulatedChip {
     }
 
     /// The original scalar window scan: recomputes polarity, stress, μ, σ,
-    /// z, and `phi(z)` per cell per trial. Kept as the baseline engine and
-    /// the reference the plan engines are verified against.
+    /// z, and `phi(z)` per cell per trial. Serves first sightings and
+    /// [`SimulatedChip::retention_trial_reference`], the oracle the
+    /// cached tiers are verified against.
     ///
     /// Every cell draws from its own (seed, trial, cell) hash lane, so
     /// the outcome is a pure function of that tuple — independent of
@@ -563,42 +580,24 @@ impl SimulatedChip {
         (failures, vrt_updates)
     }
 
-    /// Resolves which engine serves this trial, compiling/promoting cache
-    /// entries as the engine policy dictates (see [`TrialEngine`]).
+    /// Resolves which tier serves this trial: a cached or second-sighting
+    /// compiled plan for the exact condition, else a cached or
+    /// second-sighting lowering for the pattern, else the scalar scan. A
+    /// first sighting is recorded, so recurring conditions get compiled
+    /// plans while one-shot conditions never pay a compile they cannot
+    /// amortize.
     fn route_trial(&mut self, pattern: DataPattern, interval: Ms, temp: Celsius) -> TrialRoute {
         self.plan_cache.roll_epoch(self.plan_epoch);
-        if self.engine == TrialEngine::Scalar {
-            self.plan_cache.stats.scalar_trials += 1;
-            return TrialRoute::Scalar;
-        }
 
         // Compiled tier: exact (pattern, interval, temp) condition.
-        if matches!(
-            self.engine,
-            TrialEngine::Auto | TrialEngine::Compiled | TrialEngine::Batch
-        ) {
-            let key = PlanKey::new(pattern, interval, temp);
-            if let Some(i) = self.plan_cache.find_plan(&key) {
-                self.plan_cache.stats.plan_trials += 1;
-                return TrialRoute::Compiled(i);
-            }
-            let promote = matches!(self.engine, TrialEngine::Compiled | TrialEngine::Batch)
-                || self.plan_cache.note_plan_key(key);
-            if promote {
-                let plan = TrialPlan::compile(
-                    &self.cfg,
-                    &self.cells,
-                    &self.sort_keys,
-                    self.plan_cache.peek_lowering(pattern),
-                    pattern,
-                    interval,
-                    temp,
-                );
-                let i = self.plan_cache.insert_plan(plan);
-                self.plan_cache.stats.plans_compiled += 1;
-                self.plan_cache.stats.plan_trials += 1;
-                return TrialRoute::Compiled(i);
-            }
+        let key = PlanKey::new(pattern, interval, temp);
+        if let Some(i) = self.plan_cache.find_plan(&key) {
+            self.plan_cache.stats.plan_trials += 1;
+            return TrialRoute::Compiled(i);
+        }
+        if self.plan_cache.note_plan_key(key) {
+            self.plan_cache.stats.plan_trials += 1;
+            return TrialRoute::Compiled(self.compile_plan(pattern, interval, temp));
         }
 
         // Lowered tier: pattern-only lanes; survives epoch rolls and the
@@ -607,8 +606,7 @@ impl SimulatedChip {
             self.plan_cache.stats.lowered_trials += 1;
             return TrialRoute::Lowered(i);
         }
-        let promote = self.engine == TrialEngine::Lowered || self.plan_cache.note_pattern(pattern);
-        if promote {
+        if self.plan_cache.note_pattern(pattern) {
             let lowering = PatternLowering::build(&self.cells, pattern, self.cfg.geometry);
             let i = self.plan_cache.insert_lowering(lowering);
             self.plan_cache.stats.lowerings_built += 1;
@@ -623,9 +621,8 @@ impl SimulatedChip {
     /// Runs `rounds` retention trials at one fixed condition through the
     /// bit-plane batch kernel, returning one outcome per round in nonce
     /// order. Bit-identical to calling [`SimulatedChip::retention_trial`]
-    /// `rounds` times (under any engine), but each full batch of
-    /// [`MAX_BATCH_ROUNDS`] visits every in-band lane once instead of
-    /// once per round.
+    /// `rounds` times, but each full batch of [`MAX_BATCH_ROUNDS`] visits
+    /// every in-band lane once instead of once per round.
     ///
     /// # Panics
     /// Panics if `interval` is not positive.
@@ -636,33 +633,17 @@ impl SimulatedChip {
         temp: Celsius,
         rounds: u32,
     ) -> Vec<TrialOutcome> {
-        self.retention_trial_batches(pattern, interval, temp, rounds, MAX_BATCH_ROUNDS)
+        let cancel = CancelToken::new();
+        self.retention_trial_batches(pattern, interval, temp, rounds, MAX_BATCH_ROUNDS, &cancel)
+            .outcomes
     }
 
-    /// Like [`SimulatedChip::retention_trial_rounds`] with an explicit
-    /// per-pass batch cap (a testing/tuning knob): rounds are evaluated in
-    /// consecutive batches of at most `max_batch` nonces. The cap changes
-    /// wall-clock only, never outcomes.
+    /// [`SimulatedChip::retention_trial_rounds`] with an explicit per-pass
+    /// batch cap and a cooperative [`CancelToken`]. Rounds are evaluated
+    /// in consecutive batches of at most `max_batch` nonces; the cap
+    /// changes wall-clock only, never outcomes.
     ///
-    /// # Panics
-    /// Panics if `interval` is not positive or `max_batch` is outside
-    /// `1..=MAX_BATCH_ROUNDS`.
-    pub fn retention_trial_batches(
-        &mut self,
-        pattern: DataPattern,
-        interval: Ms,
-        temp: Celsius,
-        rounds: u32,
-        max_batch: usize,
-    ) -> Vec<TrialOutcome> {
-        let run =
-            self.retention_trial_batches_cancellable(pattern, interval, temp, rounds, max_batch, &CancelToken::new());
-        debug_assert!(!run.cancelled, "a fresh token cannot be cancelled");
-        run.outcomes
-    }
-
-    /// [`SimulatedChip::retention_trial_batches`] with a cooperative
-    /// [`CancelToken`], polled at every kernel-batch boundary — the
+    /// The token is polled at every kernel-batch boundary — the
     /// cancellation points of a racing profiling strategy. Cancellation
     /// never lands mid-batch: the returned outcomes are a *prefix* of the
     /// uncancelled run's rounds (in nonce order) and are bit-identical to
@@ -678,7 +659,7 @@ impl SimulatedChip {
     /// # Panics
     /// Panics if `interval` is not positive or `max_batch` is outside
     /// `1..=MAX_BATCH_ROUNDS`.
-    pub fn retention_trial_batches_cancellable(
+    pub fn retention_trial_batches(
         &mut self,
         pattern: DataPattern,
         interval: Ms,
@@ -688,70 +669,9 @@ impl SimulatedChip {
         cancel: &CancelToken,
     ) -> PartialTrials {
         assert!(interval.is_positive(), "retention interval must be positive");
-        assert!(
-            (1..=MAX_BATCH_ROUNDS).contains(&max_batch),
-            "max_batch must be in 1..={MAX_BATCH_ROUNDS}, got {max_batch}"
-        );
-        let t = interval.as_secs();
-        self.process_arrivals(t, temp);
-
-        let ms_scale = self.cfg.mu_temp_scale(temp);
-        let ss_scale = self.cfg.sigma_temp_scale(temp);
-        let ctx = TrialCtx {
-            t_secs: t,
-            ms_scale,
-            ss_scale,
-            stream_base: self.stream_base,
-            nonce: 0, // per-round nonces come from the batch
-            now_ms: self.now_ms,
-            low_mu_factor: self.cfg.vrt_low_mu_factor,
-        };
-
-        let plan = self.batch_plan(pattern, interval, temp);
-        let first_nonce = self.trial_nonce;
-        self.trial_nonce += u64::from(rounds);
-
-        let mut outcomes = Vec::with_capacity(num::idx_u64(u64::from(rounds)));
-        let mut cancelled = false;
-        let mut next = first_nonce;
-        let end_nonce = first_nonce + u64::from(rounds);
-        while next < end_nonce {
-            if cancel.is_cancelled() {
-                cancelled = true;
-                break;
-            }
-            let k = (end_nonce - next).min(num::to_u64(max_batch));
-            let nonces: Vec<u64> = (next..next + k).collect();
-            next += k;
-            let batch = self
-                .plan_cache
-                .plan_at_mut(plan)
-                .run_rounds(&self.base_vrt, &ctx, &nonces);
-            self.plan_cache.stats.plan_trials += k;
-            self.plan_cache.stats.batch_rounds += k;
-            for (i, state) in batch.vrt_updates {
-                // lint: allow(panic) indices originate from base_vrt positions above
-                self.base_vrt[num::idx(i)] = state;
-            }
-            // Arrival draws live on the sequential RNG: replay them per
-            // round in nonce order, after the kernel (which never touches
-            // that RNG), so the draw sequence matches a round-major loop.
-            // Kernel rounds arrive sorted; re-sort only when an arrival
-            // cell actually appended.
-            for mut failures in batch.rounds {
-                let kernel_len = failures.len();
-                self.arrival_round(t, ms_scale, ss_scale, &mut failures);
-                outcomes.push(if failures.len() == kernel_len {
-                    TrialOutcome::from_sorted(failures)
-                } else {
-                    TrialOutcome::from_unsorted(failures)
-                });
-            }
-        }
-        PartialTrials {
-            outcomes,
-            cancelled,
-        }
+        // One condition group: the schedule runs its rounds in nonce order.
+        let schedule = vec![(pattern, interval, temp); num::idx_u64(u64::from(rounds))];
+        self.retention_trial_schedule(&schedule, max_batch, cancel)
     }
 
     /// Runs a heterogeneous trial schedule through the batch kernel: one
@@ -770,40 +690,25 @@ impl SimulatedChip {
     /// and arrival-cell draws are replayed on the sequential RNG in
     /// schedule order after all groups.
     ///
-    /// # Panics
-    /// Panics if any interval is not positive or `max_batch` is outside
-    /// `1..=MAX_BATCH_ROUNDS`.
-    pub fn retention_trial_schedule(
-        &mut self,
-        schedule: &[(DataPattern, Ms, Celsius)],
-        max_batch: usize,
-    ) -> Vec<TrialOutcome> {
-        let run = self.retention_trial_schedule_cancellable(schedule, max_batch, &CancelToken::new());
-        debug_assert!(!run.cancelled, "a fresh token cannot be cancelled");
-        run.outcomes
-    }
-
-    /// [`SimulatedChip::retention_trial_schedule`] with a cooperative
-    /// [`CancelToken`], polled at every kernel-batch boundary (each
-    /// condition group's `TrialPlan::run_rounds` chunk). Cancellation
-    /// never lands mid-batch.
-    ///
-    /// The returned outcomes are the longest *schedule prefix* whose
-    /// entries all completed, bit-identical to the same prefix of the
-    /// uncancelled run: per-(cell, nonce) kernel lanes are position-
+    /// `cancel` is polled at every kernel-batch boundary (each condition
+    /// group's `TrialPlan::run_rounds` chunk), so cancellation never lands
+    /// mid-batch. The returned outcomes are the longest *schedule prefix*
+    /// whose entries all completed, bit-identical to the same prefix of
+    /// the uncancelled run: per-(cell, nonce) kernel lanes are position-
     /// independent, and arrival draws are replayed on the sequential RNG
     /// in schedule order over exactly that prefix — the same draws, in the
     /// same order, that the uncancelled run would have made for it.
     /// Completed work from groups *past* the prefix is discarded.
     ///
-    /// As with the rounds form, a cancelled run leaves the chip's nonce
-    /// reservation and VRT state unsuitable for continuing a bit-identical
-    /// sequence; racing callers discard the cancelled lane's chip.
+    /// As with [`SimulatedChip::retention_trial_batches`], a cancelled run
+    /// leaves the chip's nonce reservation and VRT state unsuitable for
+    /// continuing a bit-identical sequence; racing callers discard the
+    /// cancelled lane's chip.
     ///
     /// # Panics
     /// Panics if any interval is not positive or `max_batch` is outside
     /// `1..=MAX_BATCH_ROUNDS`.
-    pub fn retention_trial_schedule_cancellable(
+    pub fn retention_trial_schedule(
         &mut self,
         schedule: &[(DataPattern, Ms, Celsius)],
         max_batch: usize,
@@ -855,18 +760,7 @@ impl SimulatedChip {
         let mut failures_by_pos: Vec<Option<Vec<u64>>> = vec![None; schedule.len()];
         let mut cancelled = false;
         'groups: for g in &groups {
-            let t = g.interval.as_secs();
-            let ms_scale = self.cfg.mu_temp_scale(g.temp);
-            let ss_scale = self.cfg.sigma_temp_scale(g.temp);
-            let ctx = TrialCtx {
-                t_secs: t,
-                ms_scale,
-                ss_scale,
-                stream_base: self.stream_base,
-                nonce: 0, // per-round nonces come from the batch
-                now_ms: self.now_ms,
-                low_mu_factor: self.cfg.vrt_low_mu_factor,
-            };
+            let ctx = self.trial_ctx(g.interval, g.temp, 0);
             let plan = self.batch_plan(g.pattern, g.interval, g.temp);
             for chunk in g.positions.chunks(max_batch) {
                 if cancel.is_cancelled() {
@@ -907,19 +801,17 @@ impl SimulatedChip {
             .unwrap_or(schedule.len());
 
         // Replay arrivals on the sequential RNG in schedule order, over
-        // exactly the completed prefix.
+        // exactly the completed prefix, after the kernel (which never
+        // touches that RNG), so the draw sequence matches a sequential
+        // loop. Kernel rounds arrive sorted; re-sort only when an arrival
+        // cell actually appended.
         let mut outcomes = Vec::with_capacity(completed);
         for (slot, &(_, interval, temp)) in failures_by_pos.iter_mut().zip(schedule).take(completed) {
             let mut failures = slot
                 .take()
                 .expect("invariant: positions before the prefix boundary are filled");
             let kernel_len = failures.len();
-            self.arrival_round(
-                interval.as_secs(),
-                self.cfg.mu_temp_scale(temp),
-                self.cfg.sigma_temp_scale(temp),
-                &mut failures,
-            );
+            self.arrival_round(&self.trial_ctx(interval, temp, 0), &mut failures);
             outcomes.push(if failures.len() == kernel_len {
                 TrialOutcome::from_sorted(failures)
             } else {
@@ -933,16 +825,21 @@ impl SimulatedChip {
     }
 
     /// Finds or compiles the plan serving a batched run. The batched entry
-    /// points always use the compiled tier regardless of the configured
-    /// engine: asking for many rounds at one condition *is* the recurrence
-    /// signal the Auto engine otherwise waits for.
+    /// points always use the compiled tier: asking for many rounds at one
+    /// condition *is* the recurrence signal `retention_trial` otherwise
+    /// waits for.
     fn batch_plan(&mut self, pattern: DataPattern, interval: Ms, temp: Celsius) -> usize {
         self.plan_cache.roll_epoch(self.plan_epoch);
         let key = PlanKey::new(pattern, interval, temp);
         self.plan_cache.note_plan_key(key);
-        if let Some(i) = self.plan_cache.find_plan(&key) {
-            return i;
+        match self.plan_cache.find_plan(&key) {
+            Some(i) => i,
+            None => self.compile_plan(pattern, interval, temp),
         }
+    }
+
+    /// Compiles and caches the plan for one condition, returning its slot.
+    fn compile_plan(&mut self, pattern: DataPattern, interval: Ms, temp: Celsius) -> usize {
         let plan = TrialPlan::compile(
             &self.cfg,
             &self.cells,
@@ -954,18 +851,6 @@ impl SimulatedChip {
         );
         self.plan_cache.stats.plans_compiled += 1;
         self.plan_cache.insert_plan(plan)
-    }
-
-    /// Selects the engine `retention_trial` routes through. The default is
-    /// [`TrialEngine::Auto`]; every engine produces bit-identical outcomes,
-    /// so this only trades compile-time against per-round work.
-    pub fn set_trial_engine(&mut self, engine: TrialEngine) {
-        self.engine = engine;
-    }
-
-    /// The currently configured trial engine.
-    pub fn trial_engine(&self) -> TrialEngine {
-        self.engine
     }
 
     /// Routing/compilation counters since chip construction.
@@ -988,7 +873,7 @@ impl SimulatedChip {
     }
 
     /// Number of candidate cells a trial at `(interval, temp)` scans —
-    /// the size of the sort-key window shared by all engines.
+    /// the size of the sort-key window shared by every trial tier.
     ///
     /// # Panics
     /// Panics if `interval` is not positive.
@@ -1325,34 +1210,64 @@ mod tests {
         assert_eq!((k, v), (vec![7.0], vec![9]));
     }
 
-    #[test]
-    fn all_engines_produce_identical_outcomes() {
-        let engines = [
-            TrialEngine::Scalar,
-            TrialEngine::Lowered,
-            TrialEngine::Compiled,
-            TrialEngine::Batch,
-            TrialEngine::Auto,
-        ];
-        let mut transcripts = Vec::new();
-        for engine in engines {
-            let mut chip = SimulatedChip::new(quick_cfg(), 21);
-            chip.set_trial_engine(engine);
-            assert_eq!(chip.trial_engine(), engine);
-            let mut transcript = Vec::new();
-            for it in 0..3 {
-                for p in DataPattern::standard_set(it) {
-                    transcript.push(
-                        chip.retention_trial(p, Ms::new(1024.0), Celsius::new(60.0))
-                            .into_vec(),
-                    );
-                }
-                chip.advance(Ms::from_hours(1.0));
-            }
-            transcripts.push(transcript);
+    /// One fixed script that drives every tier: a first sighting (scalar),
+    /// a recurring condition (compile, then plan hits), a recurring
+    /// pattern at a fresh temperature (lowering), a time advance (epoch
+    /// roll, VRT arrivals) and a batched run. `batched` replays the batch
+    /// step through `retention_trial_rounds`; otherwise every step goes
+    /// through `trial`.
+    fn tier_script(
+        trial: fn(&mut SimulatedChip, DataPattern, Ms, Celsius) -> TrialOutcome,
+        batched: bool,
+        threads: usize,
+    ) -> (Vec<TrialOutcome>, PlanStats) {
+        reaper_exec::set_thread_count(Some(threads));
+        let mut chip = SimulatedChip::new(quick_cfg(), 21);
+        let p = DataPattern::checkerboard();
+        let interval = Ms::new(1024.0);
+        let temp = Celsius::new(60.0);
+        assert!(chip.candidate_window(interval, temp) >= PAR_MIN_CELLS);
+        let mut transcript = Vec::new();
+        for _ in 0..3 {
+            transcript.push(trial(&mut chip, p, interval, temp));
         }
-        for t in &transcripts {
-            assert_eq!(t, &transcripts[0]);
+        transcript.push(trial(&mut chip, p, interval, Celsius::new(60.01)));
+        for it in 0..2 {
+            for q in DataPattern::standard_set(it) {
+                transcript.push(trial(&mut chip, q, interval, temp));
+            }
+        }
+        chip.advance(Ms::from_hours(2.0));
+        transcript.push(trial(&mut chip, p, interval, temp));
+        if batched {
+            transcript.extend(chip.retention_trial_rounds(p, interval, temp, 70));
+        } else {
+            for _ in 0..70 {
+                transcript.push(trial(&mut chip, p, interval, temp));
+            }
+        }
+        reaper_exec::set_thread_count(None);
+        (transcript, chip.plan_stats())
+    }
+
+    #[test]
+    fn routed_trials_match_the_reference_on_every_tier() {
+        // The only test in this binary that sets the thread count.
+        let reference = SimulatedChip::retention_trial_reference;
+        let (want, reference_stats) = tier_script(reference, false, 1);
+        assert_eq!(reference_stats.scalar_trials, want.len() as u64);
+        assert!(want.iter().any(|o| !o.is_empty()));
+        for threads in [1, 4] {
+            let (scalar, _) = tier_script(reference, false, threads);
+            assert_eq!(scalar, want, "reference at {threads} thread(s)");
+            for batched in [false, true] {
+                let (got, s) = tier_script(SimulatedChip::retention_trial, batched, threads);
+                assert_eq!(got, want, "routed (batched: {batched}) at {threads} thread(s)");
+                assert!(s.scalar_trials >= 1, "{s:?}");
+                assert!(s.lowered_trials >= 1, "{s:?}");
+                assert!(s.plan_trials >= 1, "{s:?}");
+                assert_eq!(s.batch_rounds >= 1, batched, "{s:?}");
+            }
         }
     }
 
@@ -1377,8 +1292,8 @@ mod tests {
         for cap in [1, 3, MAX_BATCH_ROUNDS] {
             let mut chip = SimulatedChip::new(quick_cfg(), 31);
             script(&mut chip);
-            let got = chip.retention_trial_batches(p, interval, temp, 10, cap);
-            assert_eq!(got, want, "batch cap {cap}");
+            let got = chip.retention_trial_batches(p, interval, temp, 10, cap, &CancelToken::new());
+            assert_eq!(got.outcomes, want, "batch cap {cap}");
             let s = chip.plan_stats();
             assert_eq!(s.batch_rounds, 10);
             assert_eq!(s.plan_trials, 10);
@@ -1413,17 +1328,17 @@ mod tests {
         for cap in [2, MAX_BATCH_ROUNDS] {
             let mut chip = SimulatedChip::new(quick_cfg(), 32);
             chip.advance(Ms::from_hours(1.0));
-            let got = chip.retention_trial_schedule(&schedule, cap);
-            assert_eq!(got, want, "batch cap {cap}");
+            let got = chip.retention_trial_schedule(&schedule, cap, &CancelToken::new());
+            assert_eq!(got.outcomes, want, "batch cap {cap}");
         }
 
         // Degenerate schedule.
         let mut chip = SimulatedChip::new(quick_cfg(), 32);
-        assert!(chip.retention_trial_schedule(&[], 8).is_empty());
+        assert!(chip.retention_trial_schedule(&[], 8, &CancelToken::new()).outcomes.is_empty());
     }
 
     #[test]
-    fn auto_engine_promotes_on_second_sighting() {
+    fn routing_promotes_on_second_sighting() {
         let mut chip = SimulatedChip::new(quick_cfg(), 22);
         let p = DataPattern::checkerboard();
         let interval = Ms::new(1024.0);

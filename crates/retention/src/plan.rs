@@ -1,4 +1,4 @@
-//! Compiled trial plans: a structure-of-arrays batch engine for the
+//! Compiled trial plans: structure-of-arrays lanes for the
 //! retention-trial hot path.
 //!
 //! Every experiment reduces to running many retention trials at a fixed
@@ -22,7 +22,7 @@
 //!
 //! # Determinism contract
 //!
-//! Both engines are **bit-identical** to the scalar path. Per cell they
+//! Both tiers are **bit-identical** to the scalar path. Per cell they
 //! construct the same hash lane `stream([stream_base, TRIAL_DOMAIN, nonce,
 //! cell.index])`, make the same draws in the same order (VRT observation
 //! first, then the failure draw only when `z` is in band), and compute
@@ -44,28 +44,6 @@ use crate::cell::WeakCell;
 use crate::chip::{candidate_window_end, PAR_MIN_CELLS, TRIAL_DOMAIN, Z_CUTOFF};
 use crate::config::RetentionConfig;
 use crate::vrt::TwoStateVrt;
-
-/// Which engine [`crate::SimulatedChip::retention_trial`] routes through.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TrialEngine {
-    /// Adaptive: first sighting of a pattern (or full condition) runs the
-    /// cheaper tier and records the key; a second sighting promotes it —
-    /// recurring conditions get compiled plans, one-shot conditions never
-    /// pay a compile they cannot amortize.
-    #[default]
-    Auto,
-    /// Always the original scalar window scan (baseline / comparison).
-    Scalar,
-    /// Always the pattern-lowered scan (no per-condition plan).
-    Lowered,
-    /// Always compile (or fetch) a full `TrialPlan` for the condition.
-    Compiled,
-    /// Always compile a plan and serve trials through the bit-plane batch
-    /// kernel ([`crate::batch`]): single trials run as batches of one,
-    /// and the multi-round entry points evaluate up to
-    /// [`crate::MAX_BATCH_ROUNDS`] rounds per cell per pass.
-    Batch,
-}
 
 /// Counters describing how trials were routed; see
 /// [`crate::SimulatedChip::plan_stats`].
@@ -110,7 +88,7 @@ impl PlanKey {
     }
 }
 
-/// Per-trial scalar context threaded through the lowered engine: everything
+/// Per-trial scalar context threaded through the lowered tier: everything
 /// a trial needs besides the cell lanes themselves.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TrialCtx {
@@ -537,10 +515,10 @@ fn scan_prob_range(
 const PLAN_CAP: usize = 16;
 /// Pattern lowerings kept per chip.
 const LOWERING_CAP: usize = 16;
-/// First-sighting records kept per chip (Auto promotion bookkeeping).
+/// First-sighting records kept per chip (promotion bookkeeping).
 const SEEN_CAP: usize = 64;
 
-/// Per-chip cache of lowerings and compiled plans, plus the Auto engine's
+/// Per-chip cache of lowerings and compiled plans, plus the router's
 /// first-sighting bookkeeping. All lookups are linear scans over short
 /// `Vec`s — deterministic iteration order (lint rule D1) and faster than
 /// any map at these sizes. Recency is tracked with a logical tick, never

@@ -1,7 +1,7 @@
-//! Prefix bit-identity of the cancellable trial entry points: whatever a
-//! cancelled run returns must be an exact prefix of the uncancelled run's
-//! outcomes, and a pre-cancelled token must stop the run before any
-//! kernel batch executes.
+//! Prefix bit-identity of the batched trial entry points under a
+//! [`CancelToken`]: whatever a cancelled run returns must be an exact
+//! prefix of the uncancelled run's outcomes, and a pre-cancelled token
+//! must stop the run before any kernel batch executes.
 
 use reaper_dram_model::{Celsius, DataPattern, Ms, Vendor};
 use reaper_exec::cancel::CancelToken;
@@ -17,7 +17,7 @@ fn pre_cancelled_rounds_run_produces_nothing() {
     let mut chip = small_chip(7);
     let token = CancelToken::new();
     token.cancel();
-    let run = chip.retention_trial_batches_cancellable(
+    let run = chip.retention_trial_batches(
         DataPattern::checkerboard(),
         Ms::new(2048.0),
         Celsius::new(45.0),
@@ -49,7 +49,7 @@ fn mid_run_cancellation_returns_a_bit_identical_rounds_prefix() {
         let token = token.clone();
         std::thread::spawn(move || token.cancel())
     };
-    let run = chip.retention_trial_batches_cancellable(
+    let run = chip.retention_trial_batches(
         DataPattern::checkerboard(),
         Ms::new(2048.0),
         Celsius::new(45.0),
@@ -81,7 +81,7 @@ fn schedule_cancellation_returns_a_bit_identical_schedule_prefix() {
         .collect();
 
     let mut reference = small_chip(11);
-    let full = reference.retention_trial_schedule(&schedule, 3);
+    let full = reference.retention_trial_schedule(&schedule, 3, &CancelToken::new()).outcomes;
     assert_eq!(full.len(), 12);
 
     let mut chip = small_chip(11);
@@ -90,7 +90,7 @@ fn schedule_cancellation_returns_a_bit_identical_schedule_prefix() {
         let token = token.clone();
         std::thread::spawn(move || token.cancel())
     };
-    let run = chip.retention_trial_schedule_cancellable(&schedule, 3, &token);
+    let run = chip.retention_trial_schedule(&schedule, 3, &token);
     canceller.join().expect("canceller thread");
     assert_eq!(
         run.outcomes.as_slice(),
@@ -101,14 +101,15 @@ fn schedule_cancellation_returns_a_bit_identical_schedule_prefix() {
 }
 
 #[test]
-fn uncancelled_cancellable_run_matches_the_plain_entry_point() {
+fn uncancelled_schedule_matches_the_rounds_entry_point() {
     let schedule: Vec<_> = (0..8)
         .map(|_| (DataPattern::checkerboard(), Ms::new(1024.0), Celsius::new(45.0)))
         .collect();
     let mut a = small_chip(3);
     let mut b = small_chip(3);
-    let plain = a.retention_trial_schedule(&schedule, 5);
-    let run = b.retention_trial_schedule_cancellable(&schedule, 5, &CancelToken::new());
+    let (pattern, interval, temp) = schedule[0];
+    let rounds = a.retention_trial_rounds(pattern, interval, temp, 8);
+    let run = b.retention_trial_schedule(&schedule, 5, &CancelToken::new());
     assert!(!run.cancelled);
-    assert_eq!(run.outcomes, plain);
+    assert_eq!(run.outcomes, rounds);
 }

@@ -1,15 +1,15 @@
-//! Property test: the trial-plan engines are bit-identical to the scalar
-//! path.
+//! Property test: routed retention trials are bit-identical to the scalar
+//! reference.
 //!
 //! Random (vendor, seed, trial script) triples are replayed on fresh chips
-//! through every [`TrialEngine`] at 1 and 4 worker threads, and the full
-//! outcome transcripts must be byte-equal to the scalar single-thread
-//! reference. The same scripts are then replayed through the multi-round
-//! batch entry point at batch caps 1, 7, and 64 — covering single-round
-//! batches, partial planes, and full 64-bit planes — and must match the
-//! same reference byte for byte. Scripts include repeated conditions (so
-//! the Auto engine promotes through scalar → compile → cache-hit within
-//! one run), occasional 60–70-round repeat bursts (so batched replays
+//! through `retention_trial` and `retention_trial_reference` at 1 and 4
+//! worker threads, and the full outcome transcripts must be byte-equal to
+//! the single-thread reference. The same scripts are then replayed through
+//! the multi-round batch entry point at batch caps 1, 7, and 64 — covering
+//! single-round batches, partial planes, and full 64-bit planes — and must
+//! match the same reference byte for byte. Scripts include repeated
+//! conditions (so routing promotes through scalar → compile → cache-hit
+//! within one run), occasional 60–70-round repeat bursts (so batched replays
 //! cross the 64-round plane boundary mid-step), time advances (plan
 //! invalidation + VRT chain evolution + Poisson arrival merges), and
 //! condition changes (multiple live plans per chip).
@@ -20,7 +20,8 @@
 
 use proptest::prelude::*;
 use reaper_dram_model::{Celsius, DataPattern, Ms, Vendor};
-use reaper_retention::{RetentionConfig, SimulatedChip, TrialEngine};
+use reaper_exec::cancel::CancelToken;
+use reaper_retention::{RetentionConfig, SimulatedChip, TrialOutcome};
 
 const VENDORS: [Vendor; 3] = [Vendor::A, Vendor::B, Vendor::C];
 const INTERVALS_MS: [f64; 4] = [512.0, 1024.0, 2048.0, 3000.0];
@@ -35,6 +36,9 @@ const BATCH_CAPS: [usize; 3] = [1, 7, 64];
 /// One trial-script step: indices into the tables above, plus a repeat
 /// code (see [`repeats_of`]).
 type Step = (u64, usize, usize, usize, u64);
+
+/// A single-trial entry point: `retention_trial` or its reference.
+type Trial = fn(&mut SimulatedChip, DataPattern, Ms, Celsius) -> TrialOutcome;
 
 fn pattern_of(code: u64) -> DataPattern {
     match code % 6 {
@@ -78,23 +82,22 @@ fn apply_step(
     (pattern, interval, temp, repeats_of(repeat_code))
 }
 
-/// Replays `steps` on a fresh chip with the given engine and thread count,
-/// returning the concatenated failure transcripts.
+/// Replays `steps` on a fresh chip through `trial` at the given thread
+/// count, returning the concatenated failure transcripts.
 fn run_script(
     cfg: &RetentionConfig,
     seed: u64,
-    engine: TrialEngine,
+    trial: Trial,
     threads: usize,
     steps: &[Step],
 ) -> Vec<Vec<u64>> {
     reaper_exec::set_thread_count(Some(threads));
     let mut chip = SimulatedChip::new(cfg.clone(), seed);
-    chip.set_trial_engine(engine);
     let mut transcript = Vec::new();
     for step in steps {
         let (pattern, interval, temp, repeats) = apply_step(&mut chip, step);
         for _ in 0..repeats {
-            transcript.push(chip.retention_trial(pattern, interval, temp).into_vec());
+            transcript.push(trial(&mut chip, pattern, interval, temp).into_vec());
         }
     }
     transcript
@@ -116,7 +119,9 @@ fn run_script_batched(
     for step in steps {
         let (pattern, interval, temp, repeats) = apply_step(&mut chip, step);
         let rounds = u32::try_from(repeats).unwrap_or(u32::MAX);
-        for outcome in chip.retention_trial_batches(pattern, interval, temp, rounds, max_batch) {
+        let cancel = CancelToken::new();
+        let run = chip.retention_trial_batches(pattern, interval, temp, rounds, max_batch, &cancel);
+        for outcome in run.outcomes {
             transcript.push(outcome.into_vec());
         }
     }
@@ -127,7 +132,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     #[test]
-    fn every_engine_matches_scalar_bit_for_bit(
+    fn routed_trials_match_the_reference_bit_for_bit(
         seed in 0u64..10_000,
         vendor_i in 0usize..3,
         steps in proptest::collection::vec(
@@ -136,26 +141,23 @@ proptest! {
         ),
     ) {
         let cfg = RetentionConfig::for_vendor(VENDORS[vendor_i]).with_capacity_scale(1, 64);
-        let reference = run_script(&cfg, seed, TrialEngine::Scalar, 1, &steps);
+        let reference = run_script(&cfg, seed, SimulatedChip::retention_trial_reference, 1, &steps);
         prop_assert!(
             reference.iter().any(|t| !t.is_empty()),
             "degenerate script: no step produced failures"
         );
-        for engine in [
-            TrialEngine::Scalar,
-            TrialEngine::Auto,
-            TrialEngine::Lowered,
-            TrialEngine::Compiled,
-            TrialEngine::Batch,
-        ] {
-            for threads in [1usize, 4] {
-                let got = run_script(&cfg, seed, engine, threads, &steps);
-                prop_assert_eq!(
-                    &got, &reference,
-                    "transcript diverged: engine {:?}, {} thread(s), vendor {:?}, seed {}",
-                    engine, threads, VENDORS[vendor_i], seed
-                );
-            }
+        let replays: [(&str, Trial, usize); 3] = [
+            ("reference", SimulatedChip::retention_trial_reference, 4),
+            ("routed", SimulatedChip::retention_trial, 1),
+            ("routed", SimulatedChip::retention_trial, 4),
+        ];
+        for (name, trial, threads) in replays {
+            let got = run_script(&cfg, seed, trial, threads, &steps);
+            prop_assert_eq!(
+                &got, &reference,
+                "transcript diverged: {} trials, {} thread(s), vendor {:?}, seed {}",
+                name, threads, VENDORS[vendor_i], seed
+            );
         }
         for max_batch in BATCH_CAPS {
             for threads in [1usize, 4] {
@@ -202,7 +204,8 @@ fn schedule_matches_sequential_loop() {
         let mut chip = SimulatedChip::new(cfg.clone(), 4242);
         chip.advance(Ms::from_hours(1.0));
         let got: Vec<Vec<u64>> = chip
-            .retention_trial_schedule(&schedule, max_batch)
+            .retention_trial_schedule(&schedule, max_batch, &CancelToken::new())
+            .outcomes
             .into_iter()
             .map(|o| o.into_vec())
             .collect();

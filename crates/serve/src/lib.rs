@@ -9,11 +9,10 @@
 //! * [`json`] — a dependency-free JSON parser/encoder that keeps `u64`
 //!   seeds exact,
 //! * [`api`] — JSON bodies ↔ [`reaper_core::ProfilingRequest`] mapping,
-//! * [`cache`] — the original content-addressed result cache (job ID →
-//!   encoded profile bytes) with logical-tick LRU eviction,
-//! * [`store`] — its successor: one append-then-compact epoch log per
-//!   profile with `RPD1` delta records, content-addressed chunk dedup,
-//!   and metadata that survives eviction (the ETag source),
+//! * [`store`] — the content-addressed profile store: one
+//!   append-then-compact epoch log per profile with `RPD1` delta records,
+//!   content-addressed chunk dedup, logical-tick LRU eviction, and
+//!   metadata that survives eviction (the ETag source),
 //! * [`metrics`] — counters, latency histograms, and a Prometheus text
 //!   renderer,
 //! * [`server`] — accept loop, bounded job queue, and a worker pool
@@ -50,7 +49,6 @@
 #![cfg_attr(test, allow(clippy::float_cmp))]
 
 pub mod api;
-pub mod cache;
 pub mod client;
 #[cfg(unix)]
 pub mod eventloop;
@@ -61,7 +59,6 @@ pub mod server;
 pub mod store;
 
 pub use api::{JobRequest, JobSummary};
-pub use cache::ResultCache;
 pub use client::{
     Client, ClientError, ConnectionPool, DeltaFetch, ProfileFetch, ProfileUpdate, PushReceipt,
     SubmitReceipt,

@@ -38,8 +38,7 @@
 //! full push (re-base) instead.
 //!
 //! Recency is a logical tick counter, not a clock (lint rule D2), and
-//! every map is a `BTreeMap` (lint rule D1), as in the result cache this
-//! store grew out of.
+//! every map is a `BTreeMap` (lint rule D1).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

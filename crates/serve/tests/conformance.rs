@@ -423,6 +423,36 @@ fn portfolio_race_conformance(workers: usize, connection_model: ConnectionModel)
     server.shutdown();
 }
 
+/// A race whose ground truth is empty (Vendor A, seed 21: no cell
+/// reaches the truth floor at target conditions) is vacuously covered;
+/// the served job must complete with the in-process bytes, not fail.
+fn empty_truth_race_completes(workers: usize, connection_model: ConnectionModel) {
+    let mut request = PortfolioRequest::example(21);
+    request.vendor = reaper_dram_model::Vendor::A;
+    let (_, outcome) = request.execute().expect("valid request");
+    assert_eq!(outcome.truth_cells, 0);
+
+    let server = Server::start(ServerConfig {
+        workers,
+        queue_capacity: 8,
+        connection_model,
+        ..ServerConfig::default()
+    })
+    .expect("bind ephemeral port");
+    let mut client = Client::new(server.local_addr());
+    let receipt = client.submit_portfolio(&request).expect("submit portfolio");
+    let bytes = client
+        .wait_for_profile(&receipt.job_id, poll(), 1500)
+        .expect("race finishes");
+    assert_eq!(bytes, outcome.run.profile.to_bytes());
+    let status = client.job_status(&receipt.job_id).expect("status");
+    assert_eq!(status.get("status").and_then(Value::as_str), Some("done"));
+    let snap = server.metrics_snapshot();
+    assert_eq!((snap.jobs_completed, snap.jobs_failed), (1, 0));
+
+    server.shutdown();
+}
+
 #[test]
 fn streaming_endpoints_conform_at_one_and_four_workers() {
     // Both socket models must satisfy the identical protocol contract;
@@ -438,6 +468,7 @@ fn streaming_endpoints_conform_at_one_and_four_workers() {
             streaming_protocol_roundtrip(workers, model);
             eviction_revalidation_regression(workers, model);
             portfolio_race_conformance(workers, model);
+            empty_truth_race_completes(workers, model);
         }
     }
 }

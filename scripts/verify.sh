@@ -10,6 +10,9 @@ cd "$(dirname "$0")/.."
 echo "== tier-1: release build =="
 cargo build --release --offline
 
+echo "== benchmark harness: build (reads PlanStats and the serve, fleet, portfolio APIs) =="
+cargo build --release --offline --manifest-path reaperbench/Cargo.toml
+
 echo "== static analysis: lint fixture + analyzer suites =="
 cargo test -q --offline -p reaper-lint
 
@@ -23,11 +26,11 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 echo "== tier-1: tests =="
 cargo test -q --offline --workspace
 
-echo "== bench-trial: plan-vs-scalar equality (property + smoke) =="
+echo "== bench-trial: routed-vs-reference equality (property + smoke) =="
 cargo test --release -q --offline -p reaper-retention --test plan_equivalence
 cargo run --release -q --offline -p reaper-bench --bin trial_bench -- --smoke
 
-echo "== bench-trial: thread-scaling gate (compiled + batch, 4t >= 1t) =="
+echo "== bench-trial: thread-scaling gate (compiled + batch rows, 4t >= 1t) =="
 cargo run --release -q --offline -p reaper-bench --bin trial_bench -- --gate --json=target/trial_gate.json
 
 echo "== service: reaper-serve smoke (dedup + bit-identical bytes) =="

@@ -42,10 +42,14 @@ pub fn run(scale: Scale) -> Table {
             let interval = Ms::from_secs(t_s);
 
             // Warm-up: discover the base set without advancing time.
-            let mut seen = std::collections::BTreeSet::new();
+            // `seen` stays sorted and duplicate-free; `spare` is the merge
+            // buffer it swaps with.
+            let mut seen = Vec::new();
+            let mut spare = Vec::new();
             for it in 0..warmup_iters {
                 for p in DataPattern::standard_set(it) {
-                    seen.extend(chip.retention_trial(p, interval, temp).into_vec());
+                    let outcome = chip.retention_trial(p, interval, temp);
+                    merge_union(&mut seen, &mut spare, outcome.failures());
                 }
             }
             // Measurement: spread iterations over wall-clock hours.
@@ -54,11 +58,8 @@ pub fn run(scale: Scale) -> Table {
             for it in 0..measure_iters {
                 chip.advance(step);
                 for p in DataPattern::standard_set(warmup_iters + it) {
-                    for cell in chip.retention_trial(p, interval, temp).into_vec() {
-                        if seen.insert(cell) {
-                            new_cells += 1;
-                        }
-                    }
+                    let outcome = chip.retention_trial(p, interval, temp);
+                    new_cells += merge_union(&mut seen, &mut spare, outcome.failures());
                 }
             }
             let rate = new_cells as f64 / measure_hours;
@@ -83,9 +84,51 @@ pub fn run(scale: Scale) -> Table {
     table
 }
 
+/// Merges the ascending `cells` into the ascending, duplicate-free `seen`
+/// (through the scratch buffer `spare`), returning how many were new.
+fn merge_union(seen: &mut Vec<u64>, spare: &mut Vec<u64>, cells: &[u64]) -> u64 {
+    spare.clear();
+    spare.reserve(seen.len() + cells.len());
+    let mut new = 0u64;
+    let (mut a, mut b) = (seen.as_slice(), cells);
+    while let (Some((&x, rest_a)), Some((&y, rest_b))) = (a.split_first(), b.split_first()) {
+        match x.cmp(&y) {
+            std::cmp::Ordering::Less => {
+                spare.push(x);
+                a = rest_a;
+            }
+            std::cmp::Ordering::Greater => {
+                spare.push(y);
+                new += 1;
+                b = rest_b;
+            }
+            std::cmp::Ordering::Equal => {
+                spare.push(x);
+                a = rest_a;
+                b = rest_b;
+            }
+        }
+    }
+    spare.extend_from_slice(a);
+    spare.extend_from_slice(b);
+    new += b.len() as u64;
+    std::mem::swap(seen, spare);
+    new
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn merge_union_counts_only_new_cells() {
+        let (mut seen, mut spare) = (vec![2, 5, 9], Vec::new());
+        assert_eq!(merge_union(&mut seen, &mut spare, &[1, 5, 7, 9, 12]), 3);
+        assert_eq!(seen, vec![1, 2, 5, 7, 9, 12]);
+        assert_eq!(merge_union(&mut seen, &mut spare, &[2, 12]), 0);
+        assert_eq!(merge_union(&mut seen, &mut spare, &[]), 0);
+        assert_eq!(seen, vec![1, 2, 5, 7, 9, 12]);
+    }
 
     #[test]
     fn rates_grow_polynomially_with_interval() {

@@ -20,10 +20,11 @@
 //!   [`StreamPrefix`]; the per-(cell, round) cost drops to one `push` +
 //!   finalize (~7 multiplies) from the ~17 of hashing the full tuple.
 //! * **Integer-domain compares.** The plan carries `prob_thr_u[i] =
-//!   ceil(thr · 2⁵³)` ([`u53_threshold`]), so the kernel compares the raw
-//!   53-bit draw `next_u64() >> 11` against it — exactly equivalent to
-//!   `next_f64() < thr` (see the proof on [`u53_threshold`]) without the
-//!   int→float convert in the hottest loop.
+//!   ceil(thr · 2⁵³)` ([`u53_threshold`]), so the kernel (like
+//!   `run_round`) compares the raw 53-bit draw `next_u64() >> 11`
+//!   against it — exactly equivalent to `next_f64() < thr` (see the
+//!   proof on [`u53_threshold`]) without the int→float convert in the
+//!   hottest loop.
 //!
 //! # Determinism contract
 //!
@@ -97,9 +98,7 @@ impl TrialPlan {
     /// `nonces`); all rounds share `ctx.now_ms`. Outcomes are
     /// bit-identical to calling [`TrialPlan::run_round`] once per nonce
     /// in order, merging each round's VRT updates into `base_vrt`
-    /// between calls — except each round comes back already sorted
-    /// ascending (`run_round` emits lane order and leaves sorting to
-    /// `TrialOutcome`).
+    /// between calls; both emit each round sorted ascending.
     ///
     /// # Panics
     /// Panics if `nonces` is empty or longer than [`MAX_BATCH_ROUNDS`].
@@ -190,7 +189,8 @@ impl TrialPlan {
         // into one `(index, plane)` array and sorting it *once per batch*
         // makes each round's expansion emit indices in ascending order —
         // 64 sorted rounds for the price of one ~n·log n sort, instead of
-        // the per-round `sort_unstable` the round-major path pays.
+        // the per-round merge of the three lane-class runs that
+        // `run_round` pays.
         let full_mask = if k == MAX_BATCH_ROUNDS {
             u64::MAX
         } else {
@@ -358,13 +358,6 @@ mod tests {
         SimulatedChip::new(cfg, 0xBC417)
     }
 
-    /// `run_round` emits lane order; the kernel emits sorted rounds.
-    /// Normalize the former for comparison.
-    fn sorted(mut v: Vec<u64>) -> Vec<u64> {
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
 
     fn compile_pair(chip: &SimulatedChip) -> (TrialPlan, TrialCtx) {
         let pattern = DataPattern::checkerboard();
@@ -409,7 +402,7 @@ mod tests {
                 ..ctx
             };
             let (fails, updates) = plan_seq.run_round(&base_vrt, &round_ctx);
-            assert_eq!(round, &sorted(fails), "nonce {nonce}");
+            assert_eq!(round, &fails, "nonce {nonce}");
             for (slot, state) in updates {
                 *base_vrt.get_mut(num::idx(slot)).expect("slot") = state;
             }
@@ -434,7 +427,7 @@ mod tests {
         let (fails, updates) = plan_seq.run_round(chip.base_vrt_for_tests(), &round_ctx);
         let mut batch = plan_batch.run_rounds(chip.base_vrt_for_tests(), &ctx, &[99]);
         assert_eq!(batch.rounds.len(), 1);
-        assert_eq!(batch.rounds.pop().expect("one round"), sorted(fails));
+        assert_eq!(batch.rounds.pop().expect("one round"), fails);
         assert_eq!(batch.vrt_updates, updates);
     }
 
@@ -460,7 +453,7 @@ mod tests {
             }
             last = fails;
         }
-        assert_eq!(batch.rounds.last().expect("64 rounds"), &sorted(last));
+        assert_eq!(batch.rounds.last().expect("64 rounds"), &last);
     }
 
     #[test]

@@ -15,7 +15,9 @@ use reaper_dram_model::{Celsius, ChipGeometry, DataPattern, Ms};
 use crate::batch::MAX_BATCH_ROUNDS;
 use crate::cell::WeakCell;
 use crate::config::RetentionConfig;
-use crate::plan::{PatternLowering, PlanCache, PlanKey, PlanStats, TrialCtx, TrialPlan};
+use crate::plan::{
+    for_each_set_lane, PatternLowering, PlanCache, PlanKey, PlanStats, TrialCtx, TrialPlan,
+};
 use crate::vrt::{ArrivalCell, TwoStateVrt};
 
 /// Hard clamp on per-cell σ (seconds) so candidate windowing stays tight.
@@ -93,6 +95,40 @@ fn stable_cosort_by_key<T>(keys: &mut [f64], items: &mut [T]) {
     }
 }
 
+/// Merges the strictly ascending run `tail` into the strictly ascending
+/// run `run`, in place, when the two have no index in common: a backward
+/// merge into the space `tail` is appended into, so the result needs no
+/// second buffer.
+pub(crate) fn merge_ascending(run: &mut Vec<u64>, tail: &[u64]) {
+    let mut head = run.len();
+    let fast = run.last() < tail.first();
+    run.extend_from_slice(tail);
+    if fast {
+        return;
+    }
+    // Invariant: run[..head] and tail[..t] are still unmerged, and every
+    // slot from head + t on holds its final value. The write slot
+    // head + t - 1 is never below the unmerged head.
+    let mut t = tail.len();
+    while let Some(&y) = t.checked_sub(1).and_then(|i| tail.get(i)) {
+        let x = head.checked_sub(1).and_then(|i| run.get(i)).copied();
+        let slot = head + t - 1;
+        let v = match x {
+            Some(x) if x > y => {
+                head -= 1;
+                x
+            }
+            _ => {
+                t -= 1;
+                y
+            }
+        };
+        *run
+            .get_mut(slot)
+            .expect("invariant: head + t <= run.len() after the extend") = v;
+    }
+}
+
 /// The set of cells that failed one retention trial, as sorted dense linear
 /// indices into the chip's geometry.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -107,8 +143,8 @@ impl TrialOutcome {
         Self { failures: v }
     }
 
-    /// Wraps an already sorted, duplicate-free index vector (the batch
-    /// kernel emits rounds in this form) without re-sorting.
+    /// Wraps an already sorted, duplicate-free index vector without
+    /// re-sorting.
     fn from_sorted(v: Vec<u64>) -> Self {
         debug_assert!(
             // lint: allow(panic) windows(2) always yields 2-element slices
@@ -116,6 +152,18 @@ impl TrialOutcome {
             "from_sorted requires strictly ascending indices"
         );
         Self { failures: v }
+    }
+
+    /// Builds an outcome from a compiled or batched round (`v[..sorted]`,
+    /// strictly ascending) followed by the arrival tail `arrival_round`
+    /// appended. Arrival indices are distinct and disjoint from the weak
+    /// cells (both are drawn through `used`), so sorting the tail and
+    /// merging it in yields the sorted, duplicate-free outcome.
+    fn from_sorted_round(mut v: Vec<u64>, sorted: usize) -> Self {
+        let mut tail = v.split_off(sorted);
+        tail.sort_unstable();
+        merge_ascending(&mut v, &tail);
+        Self::from_sorted(v)
     }
 
     /// Number of failing cells.
@@ -200,10 +248,6 @@ pub struct SimulatedChip {
     /// lanes keyed by this nonce, so repeated identical trials still see
     /// fresh randomness.
     trial_nonce: u64,
-    /// Bumped whenever chip state that a compiled plan *could* depend on
-    /// changes (`advance` with positive dt, VRT-arrival insertion); the
-    /// plan cache drops its compiled tier when it observes a new epoch.
-    plan_epoch: u64,
     /// Pattern lowerings and compiled trial plans (see [`crate::plan`]).
     plan_cache: PlanCache,
 }
@@ -284,7 +328,6 @@ impl SimulatedChip {
             rng,
             stream_base: seed,
             trial_nonce: 0,
-            plan_epoch: 0,
             plan_cache: PlanCache::default(),
             cfg,
         };
@@ -358,13 +401,8 @@ impl SimulatedChip {
     /// Panics if `dt` is negative.
     pub fn advance(&mut self, dt: Ms) {
         assert!(dt.as_ms() >= 0.0, "cannot advance time backwards");
-        if dt.as_ms() > 0.0 {
-            // Defensive plan invalidation: compiled plans read VRT state
-            // live and are provably time-independent, but the contract is
-            // "no cached condition survives a state change" — cheap to
-            // enforce, impossible to get wrong later.
-            self.plan_epoch += 1;
-        }
+        // Compiled plans stay valid: they read VRT chain state live and
+        // depend on no time-varying state.
         self.now_ms += dt.as_ms();
     }
 
@@ -433,6 +471,7 @@ impl SimulatedChip {
         } else {
             self.route_trial(pattern, interval, temp)
         };
+        let sorted = matches!(route, TrialRoute::Compiled(_));
         let (mut failures, vrt_updates) = match route {
             TrialRoute::Compiled(i) => self
                 .plan_cache
@@ -450,9 +489,15 @@ impl SimulatedChip {
             self.base_vrt[num::idx(i)] = state;
         }
 
+        // A compiled round comes back sorted: only the arrival tail needs
+        // sorting. The scalar and lowered scans emit window (μ) order.
+        let round_len = failures.len();
         self.arrival_round(&ctx, &mut failures);
-
-        TrialOutcome::from_unsorted(failures)
+        if sorted {
+            TrialOutcome::from_sorted_round(failures, round_len)
+        } else {
+            TrialOutcome::from_unsorted(failures)
+        }
     }
 
     /// The scalar context of one trial at `(interval, temp)`; batched runs
@@ -562,18 +607,33 @@ impl SimulatedChip {
                 vrt_updates.extend(update);
             }
         } else {
-            let chunks = reaper_exec::par_chunk_map(window, 256, |_, chunk| {
-                let mut fails = Vec::new();
+            // Each chunk returns one bit per window cell (see
+            // `for_each_set_lane`), expanded here in window order.
+            let chunks = reaper_exec::par_chunk_map(window, 256, |start, chunk| {
                 let mut updates = Vec::new();
-                for cell in chunk {
-                    let (fail, update) = per_cell(cell);
-                    fails.extend(fail);
-                    updates.extend(update);
-                }
-                (fails, updates)
+                let mask: Vec<u64> = chunk
+                    .chunks(64)
+                    .map(|cells| {
+                        let mut word = 0u64;
+                        for (bit, cell) in cells.iter().enumerate() {
+                            let (fail, update) = per_cell(cell);
+                            word |= u64::from(fail.is_some()) << bit;
+                            updates.extend(update);
+                        }
+                        word
+                    })
+                    .collect();
+                (start, mask, updates)
             });
-            for (fails, updates) in chunks {
-                failures.extend(fails);
+            for (start, mask, updates) in chunks {
+                for_each_set_lane(start, &mask, |j| {
+                    failures.push(
+                        window
+                            .get(j)
+                            .expect("invariant: mask bits map to cells of the scanned chunk")
+                            .index,
+                    );
+                });
                 vrt_updates.extend(updates);
             }
         }
@@ -587,8 +647,6 @@ impl SimulatedChip {
     /// plans while one-shot conditions never pay a compile they cannot
     /// amortize.
     fn route_trial(&mut self, pattern: DataPattern, interval: Ms, temp: Celsius) -> TrialRoute {
-        self.plan_cache.roll_epoch(self.plan_epoch);
-
         // Compiled tier: exact (pattern, interval, temp) condition.
         let key = PlanKey::new(pattern, interval, temp);
         if let Some(i) = self.plan_cache.find_plan(&key) {
@@ -600,8 +658,8 @@ impl SimulatedChip {
             return TrialRoute::Compiled(self.compile_plan(pattern, interval, temp));
         }
 
-        // Lowered tier: pattern-only lanes; survives epoch rolls and the
-        // harness's per-trial temperature jitter.
+        // Lowered tier: pattern-only lanes; survives the harness's
+        // per-trial temperature jitter.
         if let Some(i) = self.plan_cache.find_lowering(pattern) {
             self.plan_cache.stats.lowered_trials += 1;
             return TrialRoute::Lowered(i);
@@ -728,7 +786,7 @@ impl SimulatedChip {
             assert!(interval.is_positive(), "retention interval must be positive");
         }
         // The first condition drives the arrival draw, exactly as in a
-        // sequential loop (later same-clock calls are retain-only no-ops).
+        // sequential loop (later same-clock calls are no-ops).
         self.process_arrivals(first_interval.as_secs(), first_temp);
 
         let first_nonce = self.trial_nonce;
@@ -803,8 +861,7 @@ impl SimulatedChip {
         // Replay arrivals on the sequential RNG in schedule order, over
         // exactly the completed prefix, after the kernel (which never
         // touches that RNG), so the draw sequence matches a sequential
-        // loop. Kernel rounds arrive sorted; re-sort only when an arrival
-        // cell actually appended.
+        // loop. Kernel rounds arrive sorted; the arrival tail is merged in.
         let mut outcomes = Vec::with_capacity(completed);
         for (slot, &(_, interval, temp)) in failures_by_pos.iter_mut().zip(schedule).take(completed) {
             let mut failures = slot
@@ -812,11 +869,7 @@ impl SimulatedChip {
                 .expect("invariant: positions before the prefix boundary are filled");
             let kernel_len = failures.len();
             self.arrival_round(&self.trial_ctx(interval, temp, 0), &mut failures);
-            outcomes.push(if failures.len() == kernel_len {
-                TrialOutcome::from_sorted(failures)
-            } else {
-                TrialOutcome::from_unsorted(failures)
-            });
+            outcomes.push(TrialOutcome::from_sorted_round(failures, kernel_len));
         }
         PartialTrials {
             outcomes,
@@ -829,7 +882,6 @@ impl SimulatedChip {
     /// condition *is* the recurrence signal `retention_trial` otherwise
     /// waits for.
     fn batch_plan(&mut self, pattern: DataPattern, interval: Ms, temp: Celsius) -> usize {
-        self.plan_cache.roll_epoch(self.plan_epoch);
         let key = PlanKey::new(pattern, interval, temp);
         self.plan_cache.note_plan_key(key);
         match self.plan_cache.find_plan(&key) {
@@ -889,25 +941,22 @@ impl SimulatedChip {
     }
 
     /// Draws Poisson VRT arrivals for the wall-clock span since the last
-    /// check and retires expired ones.
+    /// check and retires expired ones. Arrival cells live outside the
+    /// compiled plans (see `arrival_round`), so no plan is touched.
+    ///
+    /// A call at the same clock as the previous one returns at once: that
+    /// call already retired everything expired at this clock, and nothing
+    /// since has changed an arrival's expiry.
     fn process_arrivals(&mut self, t_secs: f64, temp: Celsius) {
         let elapsed_hours = (self.now_ms - self.last_arrival_ms) / 3.6e6;
         self.last_arrival_ms = self.now_ms;
         if elapsed_hours <= 0.0 {
-            self.arrivals.retain(|a| a.is_active(self.now_ms));
             return;
         }
         let rate = self.cfg.vrt_arrival_rate_per_hour(t_secs, temp);
         let n = Poisson::new(rate * elapsed_hours)
             .expect("invariant: arrival rate and elapsed span are positive here")
             .sample(&mut self.rng);
-        if n > 0 {
-            // New arrival cells change what a trial can report; roll the
-            // plan epoch so the compiled tier is rebuilt (arrivals are
-            // handled outside the plans, but see `advance` — the epoch
-            // contract covers every merge).
-            self.plan_epoch += 1;
-        }
 
         let sigma_dist = LogNormal::from_median(self.cfg.sigma_median_secs, self.cfg.sigma_log_sd)
             .expect("invariant: validated config yields finite positive sigma params");
@@ -1159,6 +1208,25 @@ mod tests {
     }
 
     #[test]
+    fn merge_ascending_merges_disjoint_runs_in_place() {
+        let cases: [(&[u64], &[u64]); 6] = [
+            (&[2, 5, 9], &[1, 3, 7, 12]),
+            (&[2, 5, 9], &[10, 11]),
+            (&[10, 11], &[2, 5, 9]),
+            (&[], &[4, 6]),
+            (&[4, 6], &[]),
+            (&[1, 8], &[3]),
+        ];
+        for (head, tail) in cases {
+            let mut run = head.to_vec();
+            merge_ascending(&mut run, tail);
+            let mut want = [head, tail].concat();
+            want.sort_unstable();
+            assert_eq!(run, want, "{head:?} + {tail:?}");
+        }
+    }
+
+    #[test]
     #[should_panic(expected = "must be positive")]
     fn trial_rejects_zero_interval() {
         let mut chip = SimulatedChip::new(quick_cfg(), 13);
@@ -1212,8 +1280,8 @@ mod tests {
 
     /// One fixed script that drives every tier: a first sighting (scalar),
     /// a recurring condition (compile, then plan hits), a recurring
-    /// pattern at a fresh temperature (lowering), a time advance (epoch
-    /// roll, VRT arrivals) and a batched run. `batched` replays the batch
+    /// pattern at a fresh temperature (lowering), a time advance (VRT
+    /// arrivals, the plan kept) and a batched run. `batched` replays the batch
     /// step through `retention_trial_rounds`; otherwise every step goes
     /// through `trial`.
     fn tier_script(
@@ -1250,9 +1318,12 @@ mod tests {
         (transcript, chip.plan_stats())
     }
 
+    /// Serializes the tests that set the process-wide thread count.
+    static THREADS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     #[test]
     fn routed_trials_match_the_reference_on_every_tier() {
-        // The only test in this binary that sets the thread count.
+        let _threads = THREADS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
         let reference = SimulatedChip::retention_trial_reference;
         let (want, reference_stats) = tier_script(reference, false, 1);
         assert_eq!(reference_stats.scalar_trials, want.len() as u64);
@@ -1271,11 +1342,66 @@ mod tests {
         }
     }
 
+    /// Compiles a plan, then keeps trialing it across 2-hour advances at
+    /// 2048 ms, so VRT-arrival cells are active and their tail is merged
+    /// into the compiled rounds.
+    fn arrival_script(
+        trial: fn(&mut SimulatedChip, DataPattern, Ms, Celsius) -> TrialOutcome,
+        threads: usize,
+    ) -> (Vec<TrialOutcome>, PlanStats, SimulatedChip) {
+        reaper_exec::set_thread_count(Some(threads));
+        let mut chip = SimulatedChip::new(quick_cfg(), 25);
+        let p = DataPattern::checkerboard();
+        let interval = Ms::new(2048.0);
+        let temp = Celsius::new(60.0);
+        let mut transcript = Vec::new();
+        for _ in 0..2 {
+            transcript.push(trial(&mut chip, p, interval, temp));
+        }
+        for _ in 0..3 {
+            chip.advance(Ms::from_hours(2.0));
+            for _ in 0..4 {
+                transcript.push(trial(&mut chip, p, interval, temp));
+            }
+        }
+        reaper_exec::set_thread_count(None);
+        (transcript, chip.plan_stats(), chip)
+    }
+
+    #[test]
+    fn compiled_rounds_with_arrivals_are_sorted_and_match_the_reference() {
+        let _threads = THREADS.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let (want, _, chip) = arrival_script(SimulatedChip::retention_trial_reference, 1);
+        assert!(chip.arrival_count() > 0, "script must leave arrival cells active");
+        let weak: BTreeSet<u64> = chip.cells().iter().map(|c| c.index).collect();
+        // Some compiled round must carry an arrival index below one of its
+        // weak-cell indices, so the tail merge really interleaves.
+        let interleaved = want.iter().skip(1).any(|o| {
+            let last_weak = o.failures().iter().rev().find(|i| weak.contains(i));
+            o.failures()
+                .iter()
+                .any(|i| !weak.contains(i) && Some(i) < last_weak)
+        });
+        assert!(interleaved, "no arrival index landed inside a compiled round");
+        for threads in [1, 4] {
+            let (got, s, _) = arrival_script(SimulatedChip::retention_trial, threads);
+            assert_eq!(got, want, "routed at {threads} thread(s)");
+            assert_eq!(s.plans_compiled, 1, "{s:?}");
+            assert_eq!(s.plan_trials, got.len() as u64 - 1, "{s:?}");
+            for outcome in &got {
+                assert!(
+                    outcome.failures().windows(2).all(|w| w[0] < w[1]),
+                    "outcome not strictly ascending at {threads} thread(s)"
+                );
+            }
+        }
+    }
+
     #[test]
     fn batched_rounds_match_sequential_trials() {
         // The multi-round entry point must replicate a retention_trial
-        // loop bit-for-bit — across a time advance (VRT arrivals, epoch
-        // roll) and at every batch cap, including partial final batches.
+        // loop bit-for-bit — across a time advance (VRT arrivals) and at
+        // every batch cap, including partial final batches.
         let p = DataPattern::checkerboard();
         let interval = Ms::new(1024.0);
         let temp = Celsius::new(60.0);
@@ -1361,12 +1487,20 @@ mod tests {
         assert_eq!(s.plan_trials, 2);
         assert_eq!(s.plans_compiled, 1);
 
-        // Time advance invalidates the compiled tier (plan sightings
-        // included); the next trial must not be served by a stale plan.
+        // The plan survives a time advance: the next trial is a plan hit
+        // with no recompile, and matches the reference on a twin chip.
         chip.advance(Ms::from_hours(1.0));
-        let _ = chip.retention_trial(p, interval, temp);
+        let got = chip.retention_trial(p, interval, temp);
         let s = chip.plan_stats();
-        assert_eq!(s.invalidations, 1);
+        assert_eq!(s.plan_trials, 3);
+        assert_eq!(s.plans_compiled, 1);
+        assert_eq!(s.invalidations, 0);
+        let mut twin = SimulatedChip::new(quick_cfg(), 22);
+        for _ in 0..3 {
+            let _ = twin.retention_trial_reference(p, interval, temp);
+        }
+        twin.advance(Ms::from_hours(1.0));
+        assert_eq!(got, twin.retention_trial_reference(p, interval, temp));
     }
 
     #[test]

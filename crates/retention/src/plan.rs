@@ -15,10 +15,11 @@
 //!   time-independent, so it survives the harness's per-trial thermal
 //!   jitter and `advance` calls.
 //! * [`TrialPlan`] — keyed by `(pattern, interval, temp)`. Lowers the
-//!   candidate window all the way to per-cell `phi(z)` thresholds in flat
-//!   `f64` lanes; a round is then a branch-light linear scan that draws one
-//!   uniform per in-band cell and compares against the cached threshold —
-//!   no erf, no struct chasing, no VRT copy for non-VRT cells.
+//!   candidate window all the way to per-cell `phi(z)` thresholds, packed
+//!   as `(index, u53 threshold)` lanes; a round is then a branch-light
+//!   linear scan that draws one 53-bit integer per in-band cell and
+//!   compares it against the cached threshold — no erf, no struct
+//!   chasing, no VRT copy for non-VRT cells.
 //!
 //! # Determinism contract
 //!
@@ -27,10 +28,16 @@
 //! cell.index])`, make the same draws in the same order (VRT observation
 //! first, then the failure draw only when `z` is in band), and compute
 //! μ, σ, z with the exact same floating-point expression order, so the
-//! cached `phi(z)` is the very value the scalar path would compute.
-//! Outcomes are merged through `TrialOutcome::from_unsorted` and per-slot
-//! VRT writes, both order-independent — hence identical at any thread
-//! count. See DESIGN.md §"Compiled trial plans".
+//! cached `phi(z)` is the very value the scalar path would compute; the
+//! plan stores it as the 53-bit integer threshold of
+//! [`crate::batch::u53_threshold`], an exact stand-in for the float
+//! compare. A compiled plan reads only immutable chip state (cells, sort
+//! keys, config) plus its key, and reads VRT chain state live, so it stays
+//! valid across `advance` and VRT-arrival merges until LRU eviction. Each
+//! lane class is stored in cell-index order, so a round emits three
+//! ascending runs that merge into a sorted outcome; VRT writes are
+//! per-slot and order-independent — hence identical at any thread count.
+//! See DESIGN.md §"Compiled trial plans".
 
 use std::sync::Arc;
 
@@ -41,7 +48,7 @@ use reaper_exec::rng::stream;
 
 use crate::batch::u53_threshold;
 use crate::cell::WeakCell;
-use crate::chip::{candidate_window_end, PAR_MIN_CELLS, TRIAL_DOMAIN, Z_CUTOFF};
+use crate::chip::{candidate_window_end, merge_ascending, PAR_MIN_CELLS, TRIAL_DOMAIN, Z_CUTOFF};
 use crate::config::RetentionConfig;
 use crate::vrt::TwoStateVrt;
 
@@ -62,8 +69,9 @@ pub struct PlanStats {
     pub lowerings_built: u64,
     /// Trial plans compiled.
     pub plans_compiled: u64,
-    /// Times the epoch rolled while compiled plans were cached (plan-tier
-    /// invalidation events; lowerings survive these by construction).
+    /// Compiled plans evicted from the full plan cache (least recently
+    /// used first). Plans are never invalidated otherwise: they depend
+    /// only on immutable chip state and their key.
     pub invalidations: u64,
 }
 
@@ -244,20 +252,19 @@ fn threshold_of(z: f64) -> f64 {
 /// lifetime. The lanes are immutable after compilation, so sharing them
 /// is free of aliasing hazards; only the plan's bookkeeping (`fail_hint`)
 /// lives outside the `Arc`.
-#[derive(Debug, Clone, PartialEq, Default)]
+///
+/// Every lane class is stored in ascending cell-index order, so each
+/// class's failures in a round form an ascending run.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PlanLanes {
     /// Non-VRT cells with `z > Z_CUTOFF`: fail every round, no draw.
     pub(crate) certain: Vec<u64>,
-    /// In-band non-VRT lanes (structure-of-arrays, index-aligned).
+    /// In-band non-VRT lanes (structure-of-arrays, index-aligned): the
+    /// cell index and its threshold `phi(z)` rescaled to
+    /// `ceil(thr · 2⁵³)`, so a round compares the raw 53-bit draw:
+    /// `(next_u64() >> 11) < prob_thr_u[i]` iff `next_f64() < thr`,
+    /// exactly (see [`crate::batch::u53_threshold`]).
     pub(crate) prob_idx: Vec<u64>,
-    pub(crate) prob_mu: Vec<f64>,
-    pub(crate) prob_sigma: Vec<f64>,
-    pub(crate) prob_z: Vec<f64>,
-    pub(crate) prob_thr: Vec<f64>,
-    /// `prob_thr` rescaled to `ceil(thr · 2⁵³)` for the batch kernel's
-    /// integer-domain compare: `(next_u64() >> 11) < prob_thr_u[i]` iff
-    /// `next_f64() < prob_thr[i]`, exactly (see
-    /// [`crate::batch::u53_threshold`]).
     pub(crate) prob_thr_u: Vec<u64>,
     /// VRT lanes: base_vrt slot, cell index, and per-cell `[high, low]`
     /// state thresholds (flattened pairs, sentinel-encoded).
@@ -279,8 +286,6 @@ pub(crate) struct TrialPlan {
     /// Candidate-window bound the plan was compiled for (consistency
     /// checks; the lanes already encode it).
     end: usize,
-    /// Trial interval in seconds (lane-consistency checks).
-    t_secs: f64,
     /// The immutable compiled lanes, shared with pooled fan-outs.
     pub(crate) lanes: Arc<PlanLanes>,
     /// Failure count of this plan's most recent round — the capacity
@@ -310,8 +315,11 @@ impl TrialPlan {
         let geometry = cfg.geometry;
         let end = candidate_window_end(sort_keys, t, ms_scale, ss_scale);
 
-        let mut lanes = PlanLanes::default();
-
+        // Lanes are gathered in window (μ) order, then each class is
+        // sorted by cell index.
+        let mut certain = Vec::new();
+        let mut prob = Vec::new();
+        let mut vrt = Vec::new();
         let mut add = |cell: &WeakCell, lvl: u8| {
             let stress = f64::from(lvl) / 4.0;
             let sigma = cell.sigma0 as f64 * ss_scale;
@@ -319,24 +327,20 @@ impl TrialPlan {
                 Some(slot) => {
                     let mu_high = cell.effective_mu(ms_scale, stress, 1.0);
                     let mu_low = cell.effective_mu(ms_scale, stress, cfg.vrt_low_mu_factor);
-                    lanes.vrt_slot.push(slot);
-                    lanes.vrt_idx.push(cell.index);
-                    lanes.vrt_thr.push(threshold_of((t - mu_high) / sigma));
-                    lanes.vrt_thr.push(threshold_of((t - mu_low) / sigma));
+                    vrt.push((
+                        cell.index,
+                        slot,
+                        threshold_of((t - mu_high) / sigma),
+                        threshold_of((t - mu_low) / sigma),
+                    ));
                 }
                 None => {
                     let mu = cell.effective_mu(ms_scale, stress, 1.0);
                     let z = (t - mu) / sigma;
                     if z > Z_CUTOFF {
-                        lanes.certain.push(cell.index);
+                        certain.push(cell.index);
                     } else if z >= -Z_CUTOFF {
-                        let thr = phi(z);
-                        lanes.prob_idx.push(cell.index);
-                        lanes.prob_mu.push(mu);
-                        lanes.prob_sigma.push(sigma);
-                        lanes.prob_z.push(z);
-                        lanes.prob_thr.push(thr);
-                        lanes.prob_thr_u.push(u53_threshold(thr));
+                        prob.push((cell.index, u53_threshold(phi(z))));
                     }
                     // z < -Z_CUTOFF: certain pass, dropped — the scalar
                     // path opens a lane but draws nothing for these, so
@@ -364,49 +368,59 @@ impl TrialPlan {
                 }
             }
         }
+        // Cell indices are unique, so the unstable sorts are deterministic.
+        // Plans outlive `advance`, so the certain lane (the largest at long
+        // intervals) drops its growth slack; the other lanes are collected
+        // at exact size below.
+        certain.sort_unstable();
+        certain.shrink_to_fit();
+        prob.sort_unstable_by_key(|&(idx, _)| idx);
+        vrt.sort_unstable_by_key(|&(idx, ..)| idx);
+        let lanes = PlanLanes {
+            certain,
+            prob_idx: prob.iter().map(|&(idx, _)| idx).collect(),
+            prob_thr_u: prob.iter().map(|&(_, thr_u)| thr_u).collect(),
+            vrt_slot: vrt.iter().map(|&(_, slot, ..)| slot).collect(),
+            vrt_idx: vrt.iter().map(|&(idx, ..)| idx).collect(),
+            vrt_thr: vrt
+                .iter()
+                .flat_map(|&(_, _, high, low)| [high, low])
+                .collect(),
+        };
         let fail_hint = lanes.certain.len() + lanes.prob_idx.len() / 8 + lanes.vrt_idx.len();
         Self {
             key: PlanKey::new(pattern, interval, temp),
             end,
-            t_secs: t,
             lanes: Arc::new(lanes),
             fail_hint,
         }
     }
 
-    /// Every lane invariant the round loop relies on, recomputed from the
-    /// μ/σ lanes: checked via `debug_assert!` so the redundant lanes stay
-    /// live in all builds while costing nothing in release.
+    /// Every lane invariant the round loop relies on: parallel lanes of
+    /// equal length, in-band thresholds in `(0, 2⁵³]`, and
+    /// each class strictly ascending by cell index (so each class's
+    /// failures form an ascending run). Checked via `debug_assert!`, so
+    /// it costs nothing in release.
     pub(crate) fn lanes_consistent(&self) -> bool {
         let lanes = &self.lanes;
-        let n = lanes.prob_idx.len();
-        n == lanes.prob_mu.len()
-            && n == lanes.prob_sigma.len()
-            && n == lanes.prob_z.len()
-            && n == lanes.prob_thr.len()
-            && n == lanes.prob_thr_u.len()
+        let ascending = |v: &[u64]| v.windows(2).all(|w| w.first() < w.last());
+        lanes.prob_idx.len() == lanes.prob_thr_u.len()
             && lanes.vrt_slot.len() == lanes.vrt_idx.len()
             && lanes.vrt_thr.len() == lanes.vrt_slot.len() * 2
-            && lanes.certain.len() + n + lanes.vrt_idx.len() <= self.end
-            && (0..n).all(|i| {
-                let (Some(mu), Some(sigma), Some(z), Some(thr), Some(thr_u)) = (
-                    lanes.prob_mu.get(i),
-                    lanes.prob_sigma.get(i),
-                    lanes.prob_z.get(i),
-                    lanes.prob_thr.get(i),
-                    lanes.prob_thr_u.get(i),
-                ) else {
-                    return false;
-                };
-                ((self.t_secs - mu) / sigma).to_bits() == z.to_bits()
-                    && phi(*z).to_bits() == thr.to_bits()
-                    && u53_threshold(*thr) == *thr_u
-            })
+            && lanes.certain.len() + lanes.prob_idx.len() + lanes.vrt_idx.len() <= self.end
+            && lanes
+                .prob_thr_u
+                .iter()
+                .all(|&thr_u| thr_u > 0 && thr_u <= 1 << 53)
+            && ascending(&lanes.certain)
+            && ascending(&lanes.prob_idx)
+            && ascending(&lanes.vrt_idx)
     }
 
-    /// One round: extend with the certain failures, draw one uniform per
-    /// in-band lane, then observe the VRT chains. Bit-identical to the
-    /// scalar window scan at this condition.
+    /// One round: draw one uniform per in-band lane, observe the VRT
+    /// chains, and merge those two ascending failure runs with the
+    /// certain failures, so the round comes back sorted ascending.
+    /// Bit-identical to the scalar window scan at this condition.
     pub(crate) fn run_round(
         &mut self,
         base_vrt: &[TwoStateVrt],
@@ -414,37 +428,45 @@ impl TrialPlan {
     ) -> (Vec<u64>, Vec<(u32, TwoStateVrt)>) {
         debug_assert!(self.lanes_consistent(), "plan SoA lanes out of sync");
         let lanes = &self.lanes;
+        // One buffer for the whole round: the in-band scan fills it, then
+        // the certain and VRT runs are merged into it in place.
         let mut failures = Vec::with_capacity(self.fail_hint + self.fail_hint / 8 + 4);
-        failures.extend_from_slice(&lanes.certain);
 
         // In-band non-VRT lanes: the branch-light hot scan. One hash lane,
-        // one draw, one compare per cell.
+        // one draw, one compare per cell, recorded as one bit per lane.
         let n = lanes.prob_idx.len();
-        if n < PAR_MIN_CELLS || reaper_exec::thread_count() <= 1 {
-            scan_prob_range(lanes, ctx, 0..n, &mut failures);
+        let masks = if n < PAR_MIN_CELLS || reaper_exec::thread_count() <= 1 {
+            vec![(0, scan_prob_range(lanes, ctx, 0..n))]
         } else {
             // Fan out through the persistent pool: the shared lanes ride
             // an Arc clone and the ctx a copy, satisfying the pool's
-            // 'static bound without touching unsafe.
+            // 'static bound without touching unsafe. Chunks come back in
+            // range order.
             let shared = Arc::clone(&self.lanes);
             let ctx_c = *ctx;
-            let chunks = reaper_exec::par_index_map_pooled(
+            reaper_exec::par_index_map_pooled(
                 n,
                 256,
                 Arc::new(move |range: core::ops::Range<usize>| {
-                    let mut out = Vec::new();
-                    scan_prob_range(&shared, &ctx_c, range, &mut out);
-                    out
+                    (range.start, scan_prob_range(&shared, &ctx_c, range))
                 }),
-            );
-            for chunk in chunks {
-                failures.extend(chunk);
-            }
+            )
+        };
+        for (start, mask) in &masks {
+            for_each_set_lane(*start, mask, |lane| {
+                failures.push(
+                    *lanes
+                        .prob_idx
+                        .get(lane)
+                        .expect("invariant: mask bits map to lanes of the scanned range"),
+                );
+            });
         }
 
         // VRT lanes: the chain is observed (and its advanced copy merged
         // back by the caller) every round, exactly like the scalar path;
         // the state selects which precompiled threshold applies.
+        let mut vrt_fails = Vec::new();
         let mut vrt_updates = Vec::with_capacity(lanes.vrt_slot.len());
         for ((slot, idx), pair) in lanes
             .vrt_slot
@@ -470,9 +492,11 @@ impl TrialPlan {
                 thr.to_bits() != CERTAIN_PASS.to_bits() && lane.next_f64() < thr
             };
             if fails {
-                failures.push(*idx);
+                vrt_fails.push(*idx);
             }
         }
+        merge_ascending(&mut failures, &lanes.certain);
+        merge_ascending(&mut failures, &vrt_fails);
         self.fail_hint = failures.len();
         (failures, vrt_updates)
     }
@@ -486,27 +510,50 @@ impl TrialPlan {
     }
 }
 
-/// The single-round in-band scan over `prob` lane range `range`,
-/// appending failing cell indices to `out`. Free function (not a
-/// closure) so the inline and pooled dispatch paths share one body.
+/// The single-round in-band scan over `prob` lane range `range`: bit `j`
+/// of the result (word `j / 64`) is set iff lane `range.start + j` fails
+/// (see [`for_each_set_lane`]). Free function (not a closure) so the
+/// inline and pooled dispatch paths share one body.
 fn scan_prob_range(
     lanes: &PlanLanes,
     ctx: &TrialCtx,
     range: core::ops::Range<usize>,
-    out: &mut Vec<u64>,
-) {
+) -> Vec<u64> {
     let idx_lane = lanes
         .prob_idx
         .get(range.clone())
         .expect("invariant: scan ranges are within [0, len)");
     let thr_lane = lanes
-        .prob_thr
+        .prob_thr_u
         .get(range)
         .expect("invariant: prob lanes are index-aligned");
-    for (idx, thr) in idx_lane.iter().zip(thr_lane) {
-        let mut lane = stream(&[ctx.stream_base, TRIAL_DOMAIN, ctx.nonce, *idx]);
-        if lane.next_f64() < *thr {
-            out.push(*idx);
+    idx_lane
+        .chunks(64)
+        .zip(thr_lane.chunks(64))
+        .map(|(idx_word, thr_word)| {
+            let mut word = 0u64;
+            for (bit, (idx, thr_u)) in idx_word.iter().zip(thr_word).enumerate() {
+                // The integer form of `next_f64() < thr` (see
+                // `u53_threshold`).
+                let mut lane = stream(&[ctx.stream_base, TRIAL_DOMAIN, ctx.nonce, *idx]);
+                word |= u64::from((lane.next_u64() >> 11) < *thr_u) << bit;
+            }
+            word
+        })
+        .collect()
+}
+
+/// Calls `f(start + j)` for every set bit `j` of `mask` (bit `j % 64` of
+/// word `j / 64`), in ascending `j`. Expands the one-bit-per-lane results
+/// that parallel scan chunks return: a few words a chunk, where a list of
+/// failing indices would be a growing allocation on the worker thread
+/// (whose malloc arena then inflated peak RSS).
+pub(crate) fn for_each_set_lane(start: usize, mask: &[u64], mut f: impl FnMut(usize)) {
+    for (j, &word) in mask.iter().enumerate() {
+        let mut bits = word;
+        while bits != 0 {
+            f(start + 64 * j + num::idx(bits.trailing_zeros()));
+            bits &= bits - 1;
         }
     }
 }
@@ -525,8 +572,6 @@ const SEEN_CAP: usize = 64;
 /// wall-clock time (lint rule D2).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PlanCache {
-    /// Chip epoch the plan tier is valid for; see `roll_epoch`.
-    epoch: u64,
     tick: u64,
     plan_seen: Vec<(PlanKey, u64)>,
     plans: Vec<(u64, TrialPlan)>,
@@ -570,24 +615,8 @@ impl PlanCache {
         self.tick
     }
 
-    /// Synchronizes the cache with the chip's plan epoch. On a mismatch
-    /// the compiled-plan tier (plans + their sighting records) is dropped;
-    /// lowerings are kept — they are pure functions of the immutable cell
-    /// array and a pattern, so no time advance or VRT merge can stale them.
-    pub(crate) fn roll_epoch(&mut self, chip_epoch: u64) {
-        if self.epoch == chip_epoch {
-            return;
-        }
-        self.epoch = chip_epoch;
-        if !self.plans.is_empty() {
-            self.stats.invalidations += 1;
-        }
-        self.plans.clear();
-        self.plan_seen.clear();
-    }
-
     /// True (and records the sighting) if this exact condition was seen
-    /// before within the current epoch.
+    /// before.
     pub(crate) fn note_plan_key(&mut self, key: PlanKey) -> bool {
         let tick = self.bump();
         note_seen(&mut self.plan_seen, key, tick)
@@ -612,6 +641,7 @@ impl PlanCache {
     pub(crate) fn insert_plan(&mut self, plan: TrialPlan) -> usize {
         if self.plans.len() >= PLAN_CAP {
             evict_min_tick(&mut self.plans, |(tick, _)| *tick);
+            self.stats.invalidations += 1;
         }
         let tick = self.bump();
         self.plans.push((tick, plan));
@@ -782,7 +812,7 @@ mod tests {
     }
 
     #[test]
-    fn cache_promotes_on_second_sighting_and_rolls_epoch() {
+    fn cache_promotes_on_second_sighting_and_keeps_plans() {
         let mut cache = PlanCache::default();
         let key = PlanKey::new(
             reaper_dram_model::DataPattern::solid0(),
@@ -817,15 +847,10 @@ mod tests {
         assert!(cache.find_lowering(pat).is_some());
         assert_eq!(cache.lowering_at(li).pattern, pat);
 
-        // epoch roll: plan tier dropped, lowerings survive
-        cache.roll_epoch(1);
-        assert!(cache.find_plan(&key).is_none());
-        assert!(!cache.note_plan_key(key), "plan sightings reset");
-        assert!(cache.find_lowering(pat).is_some());
-        assert_eq!(cache.stats.invalidations, 1);
-        // same epoch again: nothing more dropped
-        cache.roll_epoch(1);
-        assert_eq!(cache.stats.invalidations, 1);
+        // Nothing expires a plan or its sighting short of eviction.
+        assert!(cache.find_plan(&key).is_some());
+        assert!(cache.note_plan_key(key), "plan sightings are kept");
+        assert_eq!(cache.stats.invalidations, 0);
     }
 
     #[test]
@@ -855,6 +880,7 @@ mod tests {
             cache.insert_plan(plan);
         }
         assert_eq!(cache.plans.len(), PLAN_CAP);
+        assert_eq!(cache.stats.invalidations, 4, "one per eviction past PLAN_CAP");
         for i in 0..(LOWERING_CAP + 4) {
             let low = PatternLowering::build(
                 chip.cells(),
